@@ -106,6 +106,23 @@ func BenchmarkFig2Fluidanimate_LQH(b *testing.B) {
 	fig2Bench(b, "Fluidanimate", harness.ModeLQH, harness.Medium)
 }
 
+// BenchmarkSequential times each Table 1 kernel's sequential reference (no
+// runtime, no policy) at scale 0.25, so kernel-body speed is measurable on
+// its own. Each iteration builds a fresh instance untimed, because
+// Reference caches its result.
+func BenchmarkSequential(b *testing.B) {
+	for _, spec := range harness.Specs() {
+		b.Run(spec.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				inst := spec.Make(0.25)
+				b.StartTimer()
+				inst.Reference()
+			}
+		})
+	}
+}
+
 // BenchmarkFig1SobelQuadrants regenerates the Figure 1 mosaic.
 func BenchmarkFig1SobelQuadrants(b *testing.B) {
 	dir := b.TempDir()

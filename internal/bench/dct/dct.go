@@ -12,8 +12,12 @@ import (
 	"repro/sig"
 )
 
-// bands is the number of zigzag coefficient groups (8 coefficients each).
-const bands = 8
+// bands is the number of zigzag coefficient groups; bandSize is the number
+// of coefficients in each.
+const (
+	bands    = 8
+	bandSize = 64 / bands
+)
 
 // Params sizes the problem.
 type Params struct {
@@ -26,22 +30,26 @@ func DefaultParams() Params { return Params{W: 2048, H: 2048, Seed: 2} }
 
 // App is a DCT instance over a fixed synthetic image.
 type App struct {
-	p        Params
-	src      *imaging.Image
-	bw, bh   int // blocks per row / column
-	cosTab   [8][8]float64
-	zigzag   [64][2]int
-	bandSize int
+	p      Params
+	src    *imaging.Image
+	bw, bh int // blocks per row / column
+	// cosT[u][x] is cos((2x+1)uπ/16), stored transposed so a basis
+	// function's eight samples are contiguous.
+	cosT [8][8]float64
+	// scale[v][u] is the normalisation alpha(u)*alpha(v)/4.
+	scale  [8][8]float64
+	zigzag [64][2]int
 }
 
 // New builds the instance; dimensions are trimmed to multiples of 8.
 func New(p Params) *App {
 	p.W = max(8, p.W-p.W%8)
 	p.H = max(8, p.H-p.H%8)
-	a := &App{p: p, src: imaging.Synthetic(p.W, p.H, p.Seed), bw: p.W / 8, bh: p.H / 8, bandSize: 64 / bands}
+	a := &App{p: p, src: imaging.Synthetic(p.W, p.H, p.Seed), bw: p.W / 8, bh: p.H / 8}
 	for x := 0; x < 8; x++ {
 		for u := 0; u < 8; u++ {
-			a.cosTab[x][u] = math.Cos(float64(2*x+1) * float64(u) * math.Pi / 16)
+			a.cosT[u][x] = math.Cos(float64(2*x+1) * float64(u) * math.Pi / 16)
+			a.scale[x][u] = alpha(u) * alpha(x) / 4
 		}
 	}
 	a.zigzag = zigzagOrder()
@@ -70,7 +78,6 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) *imaging.Image {
 	grp := rt.Group("dct", ratio)
 	for brow := 0; brow < a.bh; brow++ {
 		for band := 0; band < bands; band++ {
-			brow, band := brow, band
 			lo := (brow*a.bw + 0) * 64
 			hi := (brow*a.bw + a.bw) * 64
 			rt.Submit(
@@ -93,50 +100,101 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) *imaging.Image {
 
 // bandStripe computes the 8 zigzag coefficients of one band for every block
 // of block-row brow.
+//
+// Each coefficient is the sum of p*cos[x][u]*cos[y][v] over y (outer) and x
+// (inner), scaled by alpha(u)*alpha(v)/4. The block is loaded once and four
+// coefficients accumulate side by side, each in its own register, so the
+// four addition chains overlap; every coefficient still sees the same
+// operations in the same order.
 func (a *App) bandStripe(coeffs []float64, brow, band int) {
+	var blk [64]float64
+	zz := a.zigzag[band*bandSize : (band+1)*bandSize]
+	w := a.p.W
 	for bcol := 0; bcol < a.bw; bcol++ {
-		base := (brow*a.bw + bcol) * 64
-		px, py := bcol*8, brow*8
-		for k := band * a.bandSize; k < (band+1)*a.bandSize; k++ {
-			u, v := a.zigzag[k][0], a.zigzag[k][1]
-			var sum float64
+		for y := 0; y < 8; y++ {
+			row := a.src.Pix[(brow*8+y)*w+bcol*8:][:8]
+			for x, p := range row {
+				blk[y*8+x] = float64(p)
+			}
+		}
+		out := coeffs[(brow*a.bw+bcol)*64:][:64]
+		for g := 0; g < bandSize; g += 4 {
+			q := zz[g : g+4]
+			c0, c1, c2, c3 := &a.cosT[q[0][0]], &a.cosT[q[1][0]], &a.cosT[q[2][0]], &a.cosT[q[3][0]]
+			d0, d1, d2, d3 := &a.cosT[q[0][1]], &a.cosT[q[1][1]], &a.cosT[q[2][1]], &a.cosT[q[3][1]]
+			var s0, s1, s2, s3 float64
 			for y := 0; y < 8; y++ {
-				for x := 0; x < 8; x++ {
-					sum += float64(a.src.At(px+x, py+y)) * a.cosTab[x][u] * a.cosTab[y][v]
+				e0, e1, e2, e3 := d0[y], d1[y], d2[y], d3[y]
+				row := (*[8]float64)(blk[y*8:])
+				for x, p := range row {
+					s0 += p * c0[x] * e0
+					s1 += p * c1[x] * e1
+					s2 += p * c2[x] * e2
+					s3 += p * c3[x] * e3
 				}
 			}
-			sum *= alpha(u) * alpha(v) / 4
-			coeffs[base+v*8+u] = sum
+			for i, s := range [4]float64{s0, s1, s2, s3} {
+				u, v := q[i][0], q[i][1]
+				out[v*8+u] = s * a.scale[v][u]
+			}
 		}
 	}
 }
 
 // reconstruct runs the inverse DCT over every block.
+//
+// Each pixel is the sum, over nonzero coefficients c in (v outer, u inner)
+// order, of alpha(u)*alpha(v)/4*c*cos[x][u]*cos[y][v]. The factor
+// (scale*c)*cos[x][u] is formed once per coefficient and column, then each
+// pixel row accumulates its eight sums in registers; every pixel still sees
+// the same additions in the same order. Zero coefficients (dropped bands)
+// cost nothing.
 func (a *App) reconstruct(coeffs []float64) *imaging.Image {
 	out := imaging.NewImage(a.p.W, a.p.H)
+	w := a.p.W
+	var cols [64][8]float64 // (scale*c)*cos[x][u] per nonzero coefficient
+	var cys [64]*[8]float64 // cos[.][v] per nonzero coefficient
 	for brow := 0; brow < a.bh; brow++ {
 		for bcol := 0; bcol < a.bw; bcol++ {
-			base := (brow*a.bw + bcol) * 64
-			px, py := bcol*8, brow*8
-			for y := 0; y < 8; y++ {
-				for x := 0; x < 8; x++ {
-					var sum float64
-					for v := 0; v < 8; v++ {
-						for u := 0; u < 8; u++ {
-							c := coeffs[base+v*8+u]
-							if c == 0 {
-								continue
-							}
-							sum += alpha(u) * alpha(v) / 4 * c * a.cosTab[x][u] * a.cosTab[y][v]
-						}
+			blk := coeffs[(brow*a.bw+bcol)*64:][:64]
+			n := 0
+			for v := 0; v < 8; v++ {
+				for u := 0; u < 8; u++ {
+					c := blk[v*8+u]
+					if c == 0 {
+						continue
 					}
+					k := a.scale[v][u] * c
+					cu := &a.cosT[u]
+					for x := range cols[n] {
+						cols[n][x] = k * cu[x]
+					}
+					cys[n] = &a.cosT[v]
+					n++
+				}
+			}
+			for y := 0; y < 8; y++ {
+				var s0, s1, s2, s3, s4, s5, s6, s7 float64
+				for i := 0; i < n; i++ {
+					col, cy := &cols[i], cys[i][y]
+					s0 += col[0] * cy
+					s1 += col[1] * cy
+					s2 += col[2] * cy
+					s3 += col[3] * cy
+					s4 += col[4] * cy
+					s5 += col[5] * cy
+					s6 += col[6] * cy
+					s7 += col[7] * cy
+				}
+				dst := out.Pix[(brow*8+y)*w+bcol*8:][:8]
+				for x, sum := range [8]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
 					if sum < 0 {
 						sum = 0
 					}
 					if sum > 255 {
 						sum = 255
 					}
-					out.Set(px+x, py+y, uint8(sum))
+					dst[x] = uint8(sum)
 				}
 			}
 		}

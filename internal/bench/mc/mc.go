@@ -77,6 +77,12 @@ func (a *App) boundary(i, j int) float64 {
 // Exact returns the analytic solution at estimation point k.
 func (a *App) Exact(k int) float64 { return a.boundary(a.px[k], a.py[k]) }
 
+// stepI and stepJ are the lattice moves for the four walk directions.
+var (
+	stepI = [4]int{1, -1, 0, 0}
+	stepJ = [4]int{0, 0, 1, -1}
+)
+
 // batchMean runs one batch of walks from point k and returns the mean
 // absorbed boundary value. Seeding is by (point, batch), so the estimate
 // under any policy is a deterministic subset of the reference's samples.
@@ -84,21 +90,18 @@ func (a *App) batchMean(k, batch int) float64 {
 	n := a.p.GridN
 	src := rng.Raw(uint64(a.p.Seed)*0x9e3779b97f4a7c15 +
 		uint64(k)*0xbf58476d1ce4e5b9 + uint64(batch)*0x94d049bb133111eb + 1)
+	// 0 < i < n and 0 < j < n as one unsigned compare each.
+	inner := uint(n - 1)
 	var sum float64
 	for w := 0; w < a.p.WalksPerBatch; w++ {
 		i, j := a.px[k], a.py[k]
-		for i > 0 && i < n && j > 0 && j < n {
-			// Two bits of the generator pick the direction.
-			switch src.Uint64() >> 62 {
-			case 0:
-				i++
-			case 1:
-				i--
-			case 2:
-				j++
-			default:
-				j--
-			}
+		for uint(i-1) < inner && uint(j-1) < inner {
+			// Two bits of the generator pick the direction: +i, −i,
+			// +j, −j. Table lookups instead of a branch, which the
+			// random direction would mispredict three times in four.
+			d := src.Uint64() >> 62
+			i += stepI[d]
+			j += stepJ[d]
 		}
 		sum += a.boundary(i, j)
 	}
@@ -126,7 +129,6 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) []float64 {
 	grp := rt.Group("mc", ratio)
 	for k := 0; k < a.p.Points; k++ {
 		for b := 0; b < nb; b++ {
-			k, b := k, b
 			slot := k*nb + b
 			sigv := 0.9
 			if nb > 1 {
