@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint race bench fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
+.PHONY: test vet lint race bench perfbench fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -32,6 +32,14 @@ race:
 
 bench:
 	$(GO) test ./sig -run xxx -bench . -benchtime 1s
+
+# The golden gate, the same locally and in CI: the benchmark module's own
+# checks, then one short fig2-batch run, which exits non-zero when a cell
+# misses its exact Accurate or GTB golden (quality, modeled joules,
+# provided ratio), so a kernel edit that is not bit-exact fails here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload fig2-batch --seed 1 --seconds 2 --trace 0
 
 # Bounded native-fuzz smokes (same budgets CI uses; minimization is capped
 # so the budget is spent fuzzing). `fuzz` covers the policy invariants,

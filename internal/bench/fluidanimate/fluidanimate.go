@@ -103,35 +103,33 @@ func buildGrid(pos []float64, n, cells int) *grid {
 	return g
 }
 
-// forces computes accelerations for particles [lo,hi) from the grid.
+// forces computes accelerations for particles [lo,hi) from the grid. The
+// cells of one grid row are contiguous in g.items, so each row of the 3×3
+// neighbourhood is one slice, visited in the same j order as cell by cell.
+// Self needs no test: it gives d2 == 0 and is skipped with the coincident
+// particles.
 func (a *App) forces(pos, acc []float64, g *grid, lo, hi int) {
+	cells := g.cells
+	scale := float64(cells)
 	for i := lo; i < hi; i++ {
 		ax, ay := 0.0, gravity
 		xi, yi := pos[2*i], pos[2*i+1]
-		cx := min(max(int(xi*float64(g.cells)), 0), g.cells-1)
-		cy := min(max(int(yi*float64(g.cells)), 0), g.cells-1)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := cx+dx, cy+dy
-				if nx < 0 || ny < 0 || nx >= g.cells || ny >= g.cells {
+		cx := min(max(int(xi*scale), 0), cells-1)
+		cy := min(max(int(yi*scale), 0), cells-1)
+		x0, x1 := max(cx-1, 0), min(cx+1, cells-1)
+		for ny := max(cy-1, 0); ny <= min(cy+1, cells-1); ny++ {
+			row := ny * cells
+			for _, j := range g.items[g.start[row+x0]:g.start[row+x1+1]] {
+				pj := (*[2]float64)(pos[2*j:])
+				ddx, ddy := xi-pj[0], yi-pj[1]
+				d2 := ddx*ddx + ddy*ddy
+				if d2 >= radius*radius || d2 == 0 {
 					continue
 				}
-				c := ny*g.cells + nx
-				for k := g.start[c]; k < g.start[c+1]; k++ {
-					j := int(g.items[k])
-					if j == i {
-						continue
-					}
-					ddx, ddy := xi-pos[2*j], yi-pos[2*j+1]
-					d2 := ddx*ddx + ddy*ddy
-					if d2 >= radius*radius || d2 == 0 {
-						continue
-					}
-					d := math.Sqrt(d2)
-					f := stiff * (radius - d) / d
-					ax += f * ddx
-					ay += f * ddy
-				}
+				d := math.Sqrt(d2)
+				f := stiff * (radius - d) / d
+				ax += f * ddx
+				ay += f * ddy
 			}
 		}
 		acc[2*i] = ax

@@ -92,7 +92,26 @@ func (a *App) WaveCosts() (accurate, approx float64) {
 	return float64(a.p.N * a.p.K * a.p.D * 3), float64(a.p.N * candidates * a.p.D * 3)
 }
 
+// nearest classifies observation i against all K centroids; of equally
+// near centroids the first wins.
+//
+// The D == 4 path compares squared distances by their bits: a sum of
+// squares is never negative, and for non-negative floats (NaN included,
+// which never wins either way) the unsigned order of the bits is the
+// float order, so the strict < picks the same centroid while the compiler
+// can select without a branch.
 func (a *App) nearest(cent []float64, i int) (int, float64) {
+	if a.p.D == 4 {
+		x := (*[4]float64)(a.data[i*4:])
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		best, bestB := 0, maxBits
+		for c := 0; c < a.p.K; c++ {
+			if b := math.Float64bits(dist4(x0, x1, x2, x3, (*[4]float64)(cent[c*4:]))); b < bestB {
+				best, bestB = c, b
+			}
+		}
+		return best, math.Float64frombits(bestB)
+	}
 	best, bestD := 0, math.MaxFloat64
 	for c := 0; c < a.p.K; c++ {
 		d2 := a.dist2(cent, i, c)
@@ -104,8 +123,19 @@ func (a *App) nearest(cent []float64, i int) (int, float64) {
 }
 
 // nearestAmong classifies observation i considering only the candidate
-// clusters.
+// clusters, with nearest's tie rule and bit comparison.
 func (a *App) nearestAmong(cent []float64, i int, candidates []int16) (int, float64) {
+	if a.p.D == 4 {
+		x := (*[4]float64)(a.data[i*4:])
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		best, bestB := int(candidates[0]), maxBits
+		for _, c := range candidates {
+			if b := math.Float64bits(dist4(x0, x1, x2, x3, (*[4]float64)(cent[int(c)*4:]))); b < bestB {
+				best, bestB = int(c), b
+			}
+		}
+		return best, math.Float64frombits(bestB)
+	}
 	best, bestD := int(candidates[0]), math.MaxFloat64
 	for _, c := range candidates {
 		d2 := a.dist2(cent, i, int(c))
@@ -122,6 +152,21 @@ func (a *App) dist2(cent []float64, i, c int) float64 {
 		diff := a.data[i*a.p.D+d] - cent[c*a.p.D+d]
 		d2 += diff * diff
 	}
+	return d2
+}
+
+// maxBits is math.Float64bits(math.MaxFloat64), the starting best distance.
+const maxBits uint64 = 0x7fefffffffffffff
+
+// dist4 is dist2 for D == 4 with the point already loaded: the same four
+// squared differences added in the same order, so it returns the same bits.
+func dist4(x0, x1, x2, x3 float64, r *[4]float64) float64 {
+	e0, e1, e2, e3 := x0-r[0], x1-r[1], x2-r[2], x3-r[3]
+	var d2 float64
+	d2 += e0 * e0
+	d2 += e1 * e1
+	d2 += e2 * e2
+	d2 += e3 * e3
 	return d2
 }
 
@@ -278,14 +323,10 @@ func (a *App) runWave(rt *sig.Runtime, grp *sig.Group, s *lloydState) (int, sig.
 	neighbors := a.neighborTable(s.cent)
 	candidates := 1 + min(approxNeighbors, p.K-1)
 	for c := 0; c < nchunks; c++ {
-		c := c
 		lo, hi := c*p.Chunk, min((c+1)*p.Chunk, p.N)
-		for i := range s.counts[c] {
-			s.counts[c][i] = 0
-		}
-		for i := range s.sums[c] {
-			s.sums[c][i] = 0
-		}
+		counts, sums := s.counts[c], s.sums[c]
+		clear(counts)
+		clear(sums)
 		s.changed[c] = 0
 		reassign := func(restricted bool) {
 			ch := 0
@@ -300,9 +341,10 @@ func (a *App) runWave(rt *sig.Runtime, grp *sig.Group, s *lloydState) (int, sig.
 					s.assign[i] = int32(k)
 					ch++
 				}
-				s.counts[c][k]++
-				for d := 0; d < p.D; d++ {
-					s.sums[c][k*p.D+d] += a.data[i*p.D+d]
+				counts[k]++
+				sum := sums[k*p.D : (k+1)*p.D]
+				for d, v := range a.data[i*p.D : (i+1)*p.D] {
+					sum[d] += v
 				}
 			}
 			s.changed[c] = ch

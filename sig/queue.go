@@ -72,17 +72,15 @@ func (r *ring) pushN(ts []*Task) int {
 }
 
 // popN moves up to len(dst) tasks into dst in FIFO order and returns the
-// count.
-func (r *ring) popN(dst []*Task) int {
+// count, claiming no more than a fair share, ceil(queued / workers), of
+// what the ring holds (see popBatchSize).
+func (r *ring) popN(dst []*Task, workers int) int {
 	if r.empty() {
 		return 0
 	}
 	r.mu.Lock()
 	head := r.head.Load()
-	n := int(r.tail.Load() - head)
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(len(dst), (int(r.tail.Load()-head)+workers-1)/workers)
 	for i := 0; i < n; i++ {
 		idx := (head + uint64(i)) & r.mask
 		dst[i] = r.buf[idx]
@@ -158,14 +156,17 @@ func (s *sched) enqueue(t *Task) {
 	s.wakeOne()
 }
 
-// enqueueBatch places every task of ts in order, striping contiguous chunks
-// across rings so one lock acquisition covers many tasks. Order within the
-// batch is preserved per chunk and chunks are enqueued in order, keeping the
-// dispatch order of a policy flush FIFO (exactly FIFO with one worker).
+// enqueueBatch places every task of ts in order, striping it across the
+// rings in chunks of ceil(len(ts) / rings) so every worker finds a share
+// of a small batch in its own ring; one lock acquisition covers each
+// chunk. Order within the batch is preserved per chunk and chunks are
+// enqueued in order, keeping the dispatch order of a policy flush FIFO
+// (exactly FIFO with one worker).
 //
 //siglint:noalloc
 func (s *sched) enqueueBatch(ts []*Task) {
 	n := len(s.rings)
+	chunk := (len(ts) + n - 1) / n
 	shard := 0
 	if len(ts) > 0 {
 		shard = int(ts[0].Seq) % n
@@ -174,7 +175,7 @@ func (s *sched) enqueueBatch(ts []*Task) {
 	for i < len(ts) {
 		pushed := false
 		for j := 0; j < n; j++ {
-			if k := s.rings[(shard+j)%n].pushN(ts[i:]); k > 0 {
+			if k := s.rings[(shard+j)%n].pushN(ts[i:min(i+chunk, len(ts))]); k > 0 {
 				i += k
 				shard = (shard + j + 1) % n
 				pushed = true
@@ -251,6 +252,10 @@ func (s *sched) anyQueued() bool {
 const workerSpinRounds = 4
 
 // popBatchSize bounds how many tasks a worker claims per lock acquisition.
+// Within it, a worker claims at most its fair share of the ring it pops,
+// ceil(queued / workers), so a small flushed wave is spread over the pool
+// instead of running on whichever worker claims it first. With one worker
+// the share is the whole ring and only popBatchSize bounds the claim.
 const popBatchSize = 16
 
 // worker is the scheduling loop of one worker goroutine: drain the own ring
@@ -262,7 +267,7 @@ func (rt *Runtime) worker(id int) {
 	var batch [popBatchSize]*Task
 	idle := 0
 	for {
-		n := own.popN(batch[:])
+		n := own.popN(batch[:], len(s.rings))
 		if n == 0 {
 			n = rt.steal(id, batch[:])
 		}
@@ -307,7 +312,7 @@ func (rt *Runtime) steal(id int, dst []*Task) int {
 		limit = 1
 	}
 	for j := 1; j < n; j++ {
-		if got := s.rings[(id+j)%n].popN(dst[:limit]); got > 0 {
+		if got := s.rings[(id+j)%n].popN(dst[:limit], n); got > 0 {
 			return got
 		}
 	}
